@@ -16,10 +16,7 @@ in :mod:`repro.ops.base`: ``faults=``/``retry=`` switch on the
 fault-tolerant dispatcher (the recovery account lands in
 ``result.resilience``) and ``cache=`` selects the program cache the
 lowering and the JIT-kernel memoization go through (``None`` disables
-caching entirely).  Historically the public API silently dropped these
-even though the drivers threaded them through -- resilient dispatch
-was reachable only by importing the internal ``run_forward``/
-``run_backward``.
+caching entirely).
 """
 
 from __future__ import annotations

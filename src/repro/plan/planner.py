@@ -24,7 +24,7 @@ of the Indirect Convolution Algorithm (arXiv 1907.02129):
   (:func:`repro.sim.progcache.plan_key`), one entry per unique tile
   geometry, relocated clones per ``(N, C1)`` slice.
 * **dispatch** -- :func:`dispatch` is the one shared driver: global
-  memory setup, flat/grouped chip execution, cache/faults/retry/
+  memory setup, grouped chip execution, cache/faults/retry/
   sanitize/compiled threading and result read-back, written exactly
   once for forward and backward.
 
@@ -55,6 +55,7 @@ from ..sim import (
     GlobalMemory,
     ProgramCache,
     RunResult,
+    check_execute,
     compile_program,
     plan_key,
     resolve_model,
@@ -69,9 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Plan directions: forward pooling and backward (input-gradient).
 PLAN_KINDS = ("fwd", "bwd")
-
-#: Execution modes a plan may carry (mirrors the drivers).
-EXECUTE_MODES = ("numeric", "cycles", "jit")
 
 
 @dataclass(frozen=True)
@@ -196,11 +194,7 @@ class ExecutionPlan:
             raise PlanError(
                 "with_mask is a forward MaxPool-only plan flag"
             )
-        if self.execute not in EXECUTE_MODES:
-            raise PlanError(
-                f"unknown execution mode {self.execute!r}; expected one "
-                f"of {EXECUTE_MODES}"
-            )
+        check_execute(self.execute, PlanError)
         if self.chunk < 1:
             raise PlanError(f"row chunk must be >= 1, got {self.chunk}")
         if min(self.n, self.c1, self.ih, self.iw) < 1:
@@ -536,19 +530,6 @@ class Lowering:
     summaries: list[list[RunResult]] | None = None
     kernels: list[list] | None = None
 
-    def flat_programs(self) -> list[Program]:
-        return [prog for group in self.groups for prog in group]
-
-    def flat_summaries(self) -> list[RunResult] | None:
-        if self.summaries is None:
-            return None
-        return [s for group in self.summaries for s in group]
-
-    def flat_kernels(self) -> list | None:
-        if self.kernels is None:
-            return None
-        return [k for group in self.kernels for k in group]
-
 
 def lower(
     plan: ExecutionPlan,
@@ -683,9 +664,9 @@ def dispatch(
 ) -> "PoolRunResult":
     """Execute a lowered plan (stage three): the one shared driver.
 
-    Global-memory setup, grouped-vs-flat chip execution, resilience /
-    sanitizer / compiled-kernel threading and result read-back happen
-    here exactly once for both directions.  Under
+    Global-memory setup, chip execution, resilience / sanitizer /
+    compiled-kernel threading and result read-back happen here exactly
+    once for both directions.  Under
     ``execute="cycles"`` no global memory exists and the result carries
     ``output=None`` (and ``mask=None``); numeric and JIT runs read the
     outputs back from simulated global memory.
@@ -727,55 +708,38 @@ def dispatch(
                 gm.add("mask", mask)
             gm.zeros("dx", num_slices * ih * iw * c0, dtype)
 
-    chip = Chip(config, dtype)
-    if plan.serialize_slices:
-        result = chip.run_tile_groups(
-            lowering.groups,
-            gm,
-            collect_trace=collect_trace,
-            execute=execute,
-            summaries=lowering.summaries,
-            model=m,
-            faults=faults,
-            retry=retry,
-            sanitize=sanitize,
-            compiled=lowering.kernels,
-        )
-    else:
-        result = chip.run_tiles(
-            lowering.flat_programs(),
-            gm,
-            collect_trace=collect_trace,
-            execute=execute,
-            summaries=lowering.flat_summaries(),
-            model=m,
-            faults=faults,
-            retry=retry,
-            sanitize=sanitize,
-            compiled=lowering.flat_kernels(),
-        )
+    def deal(nested):
+        # One group per slice keeps its chunks on one core; otherwise
+        # every tile is its own group and goes to the next core.
+        if nested is None or plan.serialize_slices:
+            return nested
+        return [[item] for group in nested for item in group]
 
-    if execute == "cycles":
-        return PoolRunResult(
-            output=None, mask=None, chip=result, tiles=lowering.tiles,
-            timing_model=m.name, plan=plan,
-        )
-    if plan.kind == "fwd":
-        out = gm.read("out", (plan.n, plan.c1, oh, ow, c0))
-        out_mask = (
-            gm.read(
+    result = Chip(config, dtype).run_tile_groups(
+        deal(lowering.groups),
+        gm,
+        collect_trace=collect_trace,
+        execute=execute,
+        summaries=deal(lowering.summaries),
+        model=m,
+        faults=faults,
+        retry=retry,
+        sanitize=sanitize,
+        compiled=deal(lowering.kernels),
+    )
+
+    out = out_mask = None
+    if execute != "cycles":
+        if plan.kind == "bwd":
+            out = gm.read("dx", (plan.n, plan.c1, ih, iw, c0))
+        else:
+            out = gm.read("out", (plan.n, plan.c1, oh, ow, c0))
+        if plan.with_mask:
+            out_mask = gm.read(
                 "mask", (plan.n, plan.c1, spec.kh, spec.kw, oh, ow, c0)
             )
-            if plan.with_mask
-            else None
-        )
-        return PoolRunResult(
-            output=out, mask=out_mask, chip=result, tiles=lowering.tiles,
-            timing_model=m.name, plan=plan,
-        )
-    dx = gm.read("dx", (plan.n, plan.c1, ih, iw, c0))
     return PoolRunResult(
-        output=dx, mask=None, chip=result, tiles=lowering.tiles,
+        output=out, mask=out_mask, chip=result, tiles=lowering.tiles,
         timing_model=m.name, plan=plan,
     )
 

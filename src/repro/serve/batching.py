@@ -25,8 +25,11 @@ from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
 
+from ..dtypes import dtype_of
 from ..errors import LayoutError, ServeError
+from ..ops.base import _validate_input
 from ..ops.spec import PoolSpec
+from ..sim.modes import check_execute
 from ..sim.scheduler import resolve_model
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The operator kinds a request may name, mirroring :mod:`repro.ops.api`.
 KINDS = ("maxpool", "avgpool", "maxpool_backward", "avgpool_backward")
 _FORWARD_KINDS = ("maxpool", "avgpool")
-_EXECUTE_MODES = ("numeric", "cycles", "jit")
 #: Plan policies a request may carry.  Explicit ExecutionPlan objects
 #: stay a library-level feature: requests are a wire format, and the
 #: named policies keep the geometry key hashable and small.
@@ -133,11 +135,7 @@ class PoolRequest:
                 f"unknown request kind {self.kind!r}; expected one of "
                 f"{KINDS}"
             )
-        if self.execute not in _EXECUTE_MODES:
-            raise ServeError(
-                f"unknown execution mode {self.execute!r}; expected one "
-                f"of {_EXECUTE_MODES}"
-            )
+        check_execute(self.execute, ServeError)
         if self.plan not in _PLAN_POLICIES:
             raise ServeError(
                 f"unknown plan policy {self.plan!r}; expected one of "
@@ -148,6 +146,7 @@ class PoolRequest:
                 "request payload must be a rank-5 NC1HWC0 tensor, got "
                 f"{getattr(self.x, 'shape', type(self.x).__name__)}"
             )
+        _validate_input(self.x, dtype_of(self.x))
         if self.kind in _FORWARD_KINDS:
             if self.ih is not None or self.iw is not None:
                 raise ServeError(
@@ -158,6 +157,7 @@ class PoolRequest:
                 raise ServeError(f"{self.kind} takes no mask")
             if self.with_mask and self.kind != "maxpool":
                 raise ServeError("the Argmax mask only exists for MaxPool")
+            self.spec.with_image(*self.x.shape[2:4])
         else:
             if self.ih is None or self.iw is None:
                 raise ServeError(
@@ -175,6 +175,7 @@ class PoolRequest:
                 )
             if self.kind == "avgpool_backward" and self.mask is not None:
                 raise ServeError("avgpool_backward takes no mask")
+            self.spec.with_image(self.ih, self.iw)
         if self.deadline_ms is not None and not (
             isinstance(self.deadline_ms, (int, float))
             and self.deadline_ms == self.deadline_ms  # not NaN
@@ -201,7 +202,7 @@ def geometry_key(request: PoolRequest) -> Hashable:
     summaries and compiled kernels inside a worker -- only the tensor
     *values* differ -- so routing them to the same worker turns the
     second request into pure cache hits.  Mirrors
-    :func:`repro.sim.progcache.program_key` minus the chip config
+    :func:`repro.sim.progcache.plan_key` minus the chip config
     (one service serves one config) plus the request kind/mask flags
     the api layer folds into the impl ``describe()`` string.
     """

@@ -4,6 +4,8 @@
 * :mod:`repro.sim.memory`  -- simulated global memory (DDR/HBM/L2).
 * :mod:`repro.sim.aicore`  -- one AI Core executing a Program.
 * :mod:`repro.sim.chip`    -- the multi-core chip and tile scheduling.
+* :mod:`repro.sim.modes`   -- the execution modes and the table of
+  option combinations that cannot run.
 * :mod:`repro.sim.trace`   -- per-instruction execution traces.
 * :mod:`repro.sim.scheduler` -- pluggable timing models (serial/pipelined).
 * :mod:`repro.sim.compile` -- the NumPy JIT: lowered programs fused
@@ -41,6 +43,7 @@ from .fingerprint import (
     fingerprint_result,
 )
 from .memory import GlobalMemory
+from .modes import EXECUTE_MODES, check_execute, check_modes
 from .scheduler import (
     MODELS,
     PIPELINED,
@@ -65,7 +68,6 @@ from .progcache import (
     CacheStats,
     ProgramCache,
     plan_key,
-    program_key,
 )
 from .sanitizer import (
     POISON_VALUE,
@@ -96,13 +98,15 @@ __all__ = [
     "PIPELINED",
     "MODELS",
     "resolve_model",
+    "EXECUTE_MODES",
+    "check_execute",
+    "check_modes",
     "Trace",
     "TraceRecord",
     "pooled_lane_utilization",
     "PROGRAM_CACHE",
     "CacheStats",
     "ProgramCache",
-    "program_key",
     "plan_key",
     "CompileContext",
     "CompiledKernel",

@@ -26,6 +26,7 @@ from ..errors import SimulationError
 from ..isa.program import Program
 from .buffers import Allocator, ScratchBuffer
 from .memory import GlobalMemory
+from .modes import check_modes
 from .scheduler import ExecutionModel, resolve_model
 from .trace import Trace
 
@@ -179,9 +180,7 @@ class AICore:
           accounting as ``"numeric"``, at a fraction of the dispatch
           cost.  ``compiled`` optionally supplies the kernel (typically
           from :meth:`repro.sim.progcache.ProgramCache.compiled`);
-          without it the program is compiled on the spot.  Incompatible
-          with ``sanitize=`` and ``injection=``, which instrument the
-          per-instruction interpreter loop the JIT exists to skip.
+          without it the program is compiled on the spot.
 
         ``model`` picks the timing model (name, instance or ``None``
         for the default serial model); it shapes *when* cycles elapse,
@@ -198,7 +197,7 @@ class AICore:
         of silently mis-accounting.
 
         ``injection`` optionally attaches a deterministic fault
-        injection (:class:`repro.sim.faults.Injection`) to this numeric
+        injection (:class:`repro.sim.faults.Injection`) to a numeric
         run: bit-flips corrupt scratch-pad contents at their chosen
         instruction index and injected crashes raise
         :class:`~repro.errors.CoreFailure` mid-program.  ``None`` (the
@@ -211,47 +210,24 @@ class AICore:
         (keep one per core across tiles so stale reads of a previous
         tile's data are diagnosed precisely), and ``None``/``False``
         (the default) runs the historical loop unchanged -- the
-        sanitizer is zero-cost when disabled.  Sanitized runs must be
-        numeric and fault-free; violations raise
+        sanitizer is zero-cost when disabled.  Violations raise
         :class:`~repro.errors.SanitizerError` and the resulting
         :class:`RunResult` carries the sanitizer's report.
+
+        ``injection`` and ``sanitize`` instrument the per-instruction
+        interpreter, so both need ``execute="numeric"`` and exclude each
+        other; :data:`repro.sim.modes.MODE_RULES` lists every
+        combination that raises.
         """
-        if execute not in ("numeric", "cycles", "jit"):
-            raise SimulationError(
-                f"unknown execution mode {execute!r}; expected 'numeric', "
-                "'cycles' or 'jit'"
-            )
-        if compiled is not None and execute != "jit":
-            raise SimulationError(
-                "compiled= supplies a JIT kernel and is only meaningful "
-                "with execute='jit'"
-            )
+        check_modes(
+            execute, sanitize=sanitize, injection=injection,
+            compiled=compiled,
+        )
+        san = None
         if sanitize:
             from .sanitizer import resolve_sanitizer
 
             san = resolve_sanitizer(sanitize, self.config)
-        else:
-            san = None
-        if san is not None and execute != "numeric":
-            raise SimulationError(
-                "sanitized runs must execute numerically "
-                "(execute='numeric'): the cycles-only fast path never "
-                "touches buffer data, and the JIT's fused batch steps "
-                "bypass the per-instruction loop strict mode instruments"
-            )
-        if san is not None and injection is not None:
-            raise SimulationError(
-                "sanitize= and injection= are mutually exclusive: fault "
-                "injection deliberately corrupts scratch-pad state, which "
-                "strict mode would (correctly) reject"
-            )
-        if injection is not None and execute == "jit":
-            raise SimulationError(
-                "injection= and execute='jit' are mutually exclusive: "
-                "faults are injected at per-instruction boundaries, which "
-                "the JIT's fused batch steps do not have; run the "
-                "interpreter (execute='numeric') to inject faults"
-            )
         if summary is not None:
             self._check_summary(program, summary)
         if execute == "cycles":
@@ -262,26 +238,15 @@ class AICore:
             )
         if gm is None:
             raise SimulationError("numeric execution requires global memory")
-        if execute == "jit":
-            kernel = compiled
-            if kernel is None:
-                from .compile import compile_program
+        if execute == "jit" and compiled is None:
+            from .compile import compile_program
 
-                kernel = compile_program(program, self.config)
-            self._gm = gm
-            try:
-                kernel(self, program)
-            finally:
-                self._gm = None
-            if summary is not None:
-                return summary
-            return summarize(
-                program, self.config, model=model,
-                collect_trace=collect_trace,
-            )
+            compiled = compile_program(program, self.config)
         self._gm = gm
         try:
-            if san is not None:
+            if compiled is not None:
+                compiled(self, program)
+            elif san is not None:
                 san.begin_program(self, program)
                 for idx, instr in enumerate(program):
                     san.run_instruction(self, program, idx, instr)

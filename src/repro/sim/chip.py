@@ -6,10 +6,13 @@ target device" (Section IV-A): a tiled kernel produces one program per
 cores, and the chip-level cycle count is the maximum per-core total --
 cores run independently with no shared-resource contention modelled.
 
-Fault tolerance: :meth:`Chip.run_tiles` / :meth:`Chip.run_tile_groups`
-optionally take a :class:`~repro.sim.faults.FaultPlan` and a
-:class:`~repro.sim.faults.RetryPolicy`.  With either supplied, the
-dispatcher becomes resilient -- bounded retry with exponential cycle
+Every run goes through one dispatcher, :meth:`Chip.run_tile_groups`;
+:meth:`Chip.run_tiles` deals independent tiles as groups of one.
+
+Fault tolerance: the dispatcher optionally takes a
+:class:`~repro.sim.faults.FaultPlan` and a
+:class:`~repro.sim.faults.RetryPolicy`.  With either supplied, it
+becomes resilient -- bounded retry with exponential cycle
 backoff, reassignment of failed tiles to healthy cores, quarantine of
 repeatedly-failing cores, rollback of a failed attempt's partial
 global-memory writes, graceful degradation (cached summary -> fresh
@@ -17,10 +20,10 @@ accounting, pipelined -> serial timing) and a tile-coverage ledger
 auditing that every output tile completes exactly once.  Everything
 the layer did is recorded in the attached
 :class:`~repro.sim.faults.ResilienceReport`.  With neither supplied
-(the default), the historical dispatch loop runs unchanged: the
-resilience machinery is zero-cost when idle.
+(the default), the plain dispatch loop runs: the resilience machinery
+is zero-cost when idle.
 
-Scratch-pad reuse between tiles is **intentional**: ``_run_one`` resets
+Scratch-pad reuse between tiles is **intentional**: the dispatcher resets
 each core's allocators before a tile but deliberately never calls
 :meth:`~repro.sim.buffers.ScratchBuffer.clear` -- real hardware does
 not zero a scratch-pad between kernels, and a correct kernel
@@ -41,11 +44,10 @@ import numpy as np
 
 from ..config import ChipConfig
 from ..dtypes import FLOAT16, DType
-from ..errors import CoreFailure, DeadlineExceeded, PlanError, SimulationError
+from ..errors import CoreFailure, DeadlineExceeded, SimulationError
 from ..isa.program import Program
 from .aicore import AICore, RunResult
 from .faults import (
-    BitFlip,
     CoverageLedger,
     DegradationEvent,
     FailureRecord,
@@ -58,6 +60,7 @@ from .faults import (
     resolve_injector,
 )
 from .memory import GlobalMemory
+from .modes import check_modes
 from .sanitizer import Sanitizer, SanitizerReport
 from .scheduler import SERIAL, ExecutionModel, resolve_model
 from .trace import pooled_lane_utilization
@@ -143,8 +146,7 @@ class _ResilientDispatch:
 
     Owns the mutable recovery state (per-core failure counts, the
     quarantine set, the coverage ledger and every report counter) for
-    the duration of a single :meth:`Chip.run_tiles` /
-    :meth:`Chip.run_tile_groups` call.
+    the duration of a single :meth:`Chip.run_tile_groups` call.
     """
 
     def __init__(
@@ -321,18 +323,10 @@ class _ResilientDispatch:
         core = self.chip.cores[core_id]
         if self.execute == "numeric":
             core.reset_allocations()
-            return core.run(
-                prog,
-                self.gm,
-                collect_trace=self.collect_trace,
-                execute="numeric",
-                summary=summary,
-                model=model,
-                injection=inj,
-            )
-        # Cycles mode has no data pass: crash/detected-corruption faults
-        # fail the attempt up front (the tile never completes).
-        if inj is not None:
+        elif inj is not None:
+            # Cycles mode has no data pass: crash/detected-corruption
+            # faults fail the attempt up front (the tile never
+            # completes); run_item accounts stalls and deadlines.
             n = len(prog)
             if inj.crash_at is not None:
                 raise CoreFailure(
@@ -348,13 +342,15 @@ class _ResilientDispatch:
                         f"{min(b.at_instruction, n)}/{n} of {prog.name!r} "
                         f"(attempt {inj.attempt})"
                     )
+            inj = None
         return core.run(
             prog,
-            None,
+            self.gm,
             collect_trace=self.collect_trace,
-            execute="cycles",
+            execute=self.execute,
             summary=summary,
             model=model,
+            injection=inj,
         )
 
     # -- rollback -------------------------------------------------------
@@ -440,10 +436,7 @@ class Chip:
     def _dispatch(self, index: int) -> tuple[int, AICore]:
         """Round-robin deal: ``(core_id, core)`` for work item ``index``.
 
-        The single place mapping work items to cores -- both
-        :meth:`run_tiles` (per tile) and :meth:`run_tile_groups` (per
-        group) route through it, so the dealing policy and the
-        ``per_core_cycles`` accounting can never drift apart.  Bounds
+        The single place mapping work items (groups) to cores.  Bounds
         are validated here so a bad index surfaces as a clear
         :class:`~repro.errors.SimulationError` instead of a raw
         ``IndexError`` deep in the accounting.
@@ -458,38 +451,9 @@ class Chip:
         core_id = index % len(self.cores)
         return core_id, self.cores[core_id]
 
-    def _run_one(
-        self,
-        core: AICore,
-        prog: Program,
-        gm: GlobalMemory | None,
-        collect_trace: bool,
-        execute: str,
-        summary: RunResult | None,
-        model,
-        sanitizer: "Sanitizer | None" = None,
-        kernel=None,
-    ) -> RunResult:
-        # Note: allocators are reset per tile but the scratch-pad
-        # *contents* are deliberately not cleared -- see the module
-        # docstring.  Strict mode poisons them instead.
-        if execute in ("numeric", "jit"):
-            core.reset_allocations()
-        return core.run(
-            prog,
-            gm,
-            collect_trace=collect_trace,
-            execute=execute,
-            summary=summary,
-            model=model,
-            sanitize=sanitizer,
-            compiled=kernel,
-        )
-
     def _result(
         self,
         per_core_cycles: list[int],
-        tiles: int,
         results: list[RunResult],
         resilience: ResilienceReport | None = None,
         sanitizers: "list[Sanitizer] | None" = None,
@@ -503,87 +467,13 @@ class Chip:
         return ChipRunResult(
             cycles=max(per_core_cycles),
             total_work_cycles=sum(per_core_cycles),
-            tiles=tiles,
+            tiles=len(results),
             cores_used=len(busy),
             per_tile=tuple(results),
             per_core_cycles=tuple(per_core_cycles),
             resilience=resilience,
             sanitizer=report,
         )
-
-    def _sanitizers(
-        self,
-        sanitize: bool,
-        execute: str,
-        faults,
-        retry,
-    ) -> "list[Sanitizer] | None":
-        """One persistent halting :class:`Sanitizer` per core (so
-        cross-tile stale reads are diagnosed precisely), or ``None``
-        when strict mode is off.  Rejects combinations strict mode
-        cannot check."""
-        if not sanitize:
-            return None
-        if faults is not None or retry is not None:
-            raise SimulationError(
-                "sanitize= and faults=/retry= are mutually exclusive: "
-                "fault injection corrupts scratch-pad state on purpose, "
-                "which strict mode would (correctly) reject"
-            )
-        if execute != "numeric":
-            raise SimulationError(
-                "sanitized dispatch must execute numerically "
-                "(execute='numeric'): cycles-only runs never touch "
-                "buffer data, and JIT runs bypass the per-instruction "
-                "loop strict mode instruments"
-            )
-        return [Sanitizer(self.config) for _ in self.cores]
-
-    @staticmethod
-    def _check_jit_modes(
-        execute: str, faults, retry, compiled=None
-    ) -> None:
-        """``execute="jit"`` composes with *silent-only* fault plans
-        (every fault an undetected :class:`BitFlip`): those never fail
-        an attempt, so the chip applies them to the kernel's written
-        global-memory tensors post-execute.  Everything else in the
-        resilient dispatcher -- detected faults, crashes, stalls,
-        deadlines, ``retry=`` -- operates at per-instruction boundaries
-        the fused batch kernels do not have, and raises a
-        :class:`~repro.errors.PlanError` naming the conflicting fields.
-        """
-        if compiled is not None and execute != "jit":
-            raise SimulationError(
-                "compiled= supplies JIT kernels and is only meaningful "
-                "with execute='jit'"
-            )
-        if execute != "jit":
-            return
-        plan = faults.plan if isinstance(faults, FaultInjector) else faults
-        conflicts = []
-        if plan is not None and not plan.silent_only:
-            kinds = sorted(
-                {
-                    "BitFlip(detected=True)"
-                    if isinstance(f, BitFlip)
-                    else type(f).__name__
-                    for f in plan.faults
-                    if not (isinstance(f, BitFlip) and not f.detected)
-                }
-            )
-            conflicts.append(f"faults= (fault kinds: {', '.join(kinds)})")
-        if retry is not None:
-            conflicts.append("retry= (resilient retry)")
-        if conflicts:
-            raise PlanError(
-                f"execute='jit' conflicts with {' and '.join(conflicts)}: "
-                "fused batch kernels have no per-instruction boundaries "
-                "for fault injection or retry accounting.  Only *silent* "
-                "BitFlip plans (detected=False) compose with the JIT -- "
-                "their flips land on the kernel's written global-memory "
-                "tensors post-execute.  Run the interpreter "
-                "(execute='numeric') for resilient dispatch"
-            )
 
     def run_tiles(
         self,
@@ -598,103 +488,30 @@ class Chip:
         sanitize: bool = False,
         compiled: list | None = None,
     ) -> ChipRunResult:
-        """Execute tile programs round-robin over the cores.
+        """Execute independent tile programs round-robin over the cores.
 
-        Tiles assigned to one core run serially on it; distinct cores
-        run (logically) in parallel, so the chip's cycle count is the
-        slowest core's total.  Each tile pays the block-dispatch
-        overhead ``tile_launch_cycles``.
-
-        ``execute``, ``summaries`` and ``model`` forward to
-        :meth:`AICore.run`: ``execute="cycles"`` skips data execution
-        (``gm`` may be ``None``), ``summaries`` -- one optional
-        precomputed :class:`RunResult` per program, typically from the
-        program cache -- lets repeated tiles skip per-instruction
-        accounting, and ``model`` selects the timing model.
-
-        ``faults`` / ``retry`` switch on the resilient dispatcher (see
-        the module docstring); both ``None`` (the default) runs the
-        historical loop unchanged and leaves
-        :attr:`ChipRunResult.resilience` as ``None``.
-
-        ``sanitize=True`` runs every tile in strict memory-checking
-        mode (:mod:`repro.sim.sanitizer`) with one persistent
-        :class:`~repro.sim.sanitizer.Sanitizer` per core, so stale
-        reads of a previous tile's scratch data are caught; the merged
-        report lands in :attr:`ChipRunResult.sanitizer`.  Incompatible
-        with ``faults``/``retry`` and ``execute="cycles"``/``"jit"``.
-
-        ``execute="jit"`` runs each tile through its compiled batch
-        kernel (:mod:`repro.sim.compile`); ``compiled`` optionally
-        supplies one kernel per program (typically shared across
-        relocated clones via the program cache), mirroring
-        ``summaries``.  Incompatible with ``faults``/``retry`` and
-        ``sanitize``.
+        :meth:`run_tile_groups` with every tile a group of one: the
+        deal, the flat tile indices faults target and every result are
+        the same.  ``summaries`` and ``compiled`` hold one (possibly
+        ``None``) entry per program; the other arguments are those of
+        :meth:`run_tile_groups`.
         """
         if not programs:
             raise SimulationError("run_tiles called with no tile programs")
-        if summaries is not None and len(summaries) != len(programs):
-            raise SimulationError(
-                f"run_tiles got {len(summaries)} summaries for "
-                f"{len(programs)} tile programs; summaries must "
-                "correspond 1:1 with tiles"
-            )
-        if compiled is not None and len(compiled) != len(programs):
-            raise SimulationError(
-                f"run_tiles got {len(compiled)} compiled kernels for "
-                f"{len(programs)} tile programs; kernels must "
-                "correspond 1:1 with tiles"
-            )
-        self._check_jit_modes(execute, faults, retry, compiled)
-        sanitizers = self._sanitizers(sanitize, execute, faults, retry)
-        injector = resolve_injector(faults)
-        launch = self.config.cost.tile_launch_cycles
-        silent_jit = injector is not None and execute == "jit"
-        scratch = (
-            frozenset(self.config.buffer_specs()) if silent_jit else None
-        )
-        if retry is None and (injector is None or silent_jit):
-            per_core_cycles = [0] * len(self.cores)
-            results: list[RunResult] = []
-            for t, prog in enumerate(programs):
-                core_id, core = self._dispatch(t)
-                res = self._run_one(
-                    core, prog, gm, collect_trace, execute,
-                    summaries[t] if summaries is not None else None, model,
-                    sanitizers[core_id] if sanitizers is not None else None,
-                    compiled[t] if compiled is not None else None,
+        for name, per_tile in (
+            ("summaries", summaries), ("compiled kernels", compiled)
+        ):
+            if per_tile is not None and len(per_tile) != len(programs):
+                raise SimulationError(
+                    f"run_tiles got {len(per_tile)} {name} for "
+                    f"{len(programs)} tile programs; {name} must "
+                    "correspond 1:1 with tiles"
                 )
-                results.append(res)
-                per_core_cycles[core_id] += res.cycles + launch
-                if silent_jit:
-                    inj = injector.injection(t, core_id, 0)
-                    if inj is not None:
-                        apply_silent_flips_to_gm(gm, prog, inj, scratch)
-            return self._result(
-                per_core_cycles, len(programs), results,
-                resilience=ResilienceReport(
-                    plan_faults=len(injector.plan),
-                    attempts=len(programs),
-                ) if silent_jit else None,
-                sanitizers=sanitizers,
-            )
-
-        dispatch = _ResilientDispatch(
-            self, injector, retry or RetryPolicy(), gm, collect_trace,
-            execute, model,
-        )
-        results = []
-        for t, prog in enumerate(programs):
-            core_id, _ = self._dispatch(t)
-            _, res = dispatch.run_item(
-                t, core_id, prog,
-                summaries[t] if summaries is not None else None,
-            )
-            results.append(res)
-        dispatch.ledger.audit(len(programs))
-        return self._result(
-            dispatch.per_core_cycles, len(programs), results,
-            dispatch.report(),
+        return self.run_tile_groups(
+            [[prog] for prog in programs], gm, collect_trace, execute,
+            None if summaries is None else [[s] for s in summaries],
+            model, faults, retry, sanitize,
+            None if compiled is None else [[k] for k in compiled],
         )
 
     def run_tile_groups(
@@ -710,75 +527,106 @@ class Chip:
         sanitize: bool = False,
         compiled: list | None = None,
     ) -> ChipRunResult:
-        """Execute groups of tiles; each group stays on one core.
+        """Execute groups of tile programs; each group stays on one core.
 
-        Used when tiles within a group must be serialised -- e.g. the
-        row-chunked backward tiles of one (N, C1) slice, whose
-        accumulate-DMA stores overlap and may not race across cores.
-        Groups are dealt round-robin to cores.  ``execute``,
-        ``summaries`` (nested to mirror ``groups``) and ``model`` behave
-        as in :meth:`run_tiles`.  Under the resilient dispatcher
-        (``faults`` / ``retry``), a reassigned tile drags the rest of
-        its group to the new core, preserving the group's one-core
-        serialisation invariant.  ``sanitize`` and ``compiled`` (nested
-        to mirror ``groups``) behave as in :meth:`run_tiles`.
+        Groups are dealt round-robin to the cores, and a group's tiles
+        run serially on its core -- e.g. the row-chunked backward tiles
+        of one (N, C1) slice, whose accumulate-DMA stores overlap and
+        may not race across cores.  Distinct cores run (logically) in
+        parallel, so the chip's cycle count is the slowest core's
+        total.  Each tile pays the block-dispatch overhead
+        ``tile_launch_cycles``.  Tiles are numbered flat, in group
+        order; fault plans target those indices.
+
+        ``execute`` and ``model`` forward to :meth:`AICore.run`:
+        ``execute="cycles"`` skips data execution (``gm`` may be
+        ``None``) and ``model`` selects the timing model.
+        ``summaries`` -- precomputed :class:`RunResult` objects,
+        typically from the program cache -- let repeated tiles skip
+        per-instruction accounting; ``compiled`` supplies the JIT
+        kernels of ``execute="jit"`` the same way.  Both are nested to
+        mirror ``groups``, one (possibly ``None``) entry per program.
+
+        ``faults`` / ``retry`` switch on the resilient dispatcher (see
+        the module docstring); a reassigned tile drags the rest of its
+        group to the new core, so a group never spans two cores.  Both
+        ``None`` (the default) runs the plain loop and leaves
+        :attr:`ChipRunResult.resilience` as ``None``.  Under
+        ``execute="jit"`` only silent fault plans (undetected
+        :class:`~repro.sim.faults.BitFlip`) are allowed; their flips
+        land on the written global-memory tensors after each kernel.
+
+        ``sanitize=True`` runs every tile in strict memory-checking
+        mode (:mod:`repro.sim.sanitizer`) with one persistent
+        :class:`~repro.sim.sanitizer.Sanitizer` per core, so stale
+        reads of a previous tile's scratch data are caught; the merged
+        report lands in :attr:`ChipRunResult.sanitizer`.
+
+        Combinations the simulator cannot run raise the error that
+        :data:`repro.sim.modes.MODE_RULES` documents.
         """
         if not groups or any(not g for g in groups):
             raise SimulationError("run_tile_groups needs non-empty groups")
-        if summaries is not None and (
-            len(summaries) != len(groups)
-            or any(len(s) != len(g) for s, g in zip(summaries, groups))
+        for name, nested in (
+            ("summaries", summaries), ("compiled kernels", compiled)
         ):
-            raise SimulationError(
-                "summaries do not mirror groups: need one (possibly None) "
-                "summary per tile program, nested exactly like the groups"
-            )
-        if compiled is not None and (
-            len(compiled) != len(groups)
-            or any(len(c) != len(g) for c, g in zip(compiled, groups))
-        ):
-            raise SimulationError(
-                "compiled kernels do not mirror groups: need one "
-                "(possibly None) kernel per tile program, nested exactly "
-                "like the groups"
-            )
-        self._check_jit_modes(execute, faults, retry, compiled)
-        sanitizers = self._sanitizers(sanitize, execute, faults, retry)
-        injector = resolve_injector(faults)
-        launch = self.config.cost.tile_launch_cycles
-        silent_jit = injector is not None and execute == "jit"
-        scratch = (
-            frozenset(self.config.buffer_specs()) if silent_jit else None
+            if nested is not None and (
+                len(nested) != len(groups)
+                or any(len(n) != len(g) for n, g in zip(nested, groups))
+            ):
+                raise SimulationError(
+                    f"{name} do not mirror groups: need one (possibly "
+                    "None) entry per tile program, nested exactly like "
+                    "the groups"
+                )
+        check_modes(
+            execute, sanitize=sanitize, faults=faults, retry=retry,
+            compiled=compiled,
         )
-        if retry is None and (injector is None or silent_jit):
+
+        def nth(nested, gidx: int, pidx: int):
+            return None if nested is None else nested[gidx][pidx]
+
+        injector = resolve_injector(faults)
+        results: list[RunResult] = []
+        if retry is None and (injector is None or execute == "jit"):
+            # The plain loop; under the JIT an injector is silent-only.
+            sanitizers = (
+                [Sanitizer(self.config) for _ in self.cores]
+                if sanitize else None
+            )
+            scratch = (
+                frozenset(self.config.buffer_specs())
+                if injector is not None else None
+            )
+            launch = self.config.cost.tile_launch_cycles
             per_core_cycles = [0] * len(self.cores)
-            results: list[RunResult] = []
-            tiles = 0
             for gidx, group in enumerate(groups):
                 core_id, core = self._dispatch(gidx)
                 for pidx, prog in enumerate(group):
-                    res = self._run_one(
-                        core, prog, gm, collect_trace, execute,
-                        summaries[gidx][pidx] if summaries is not None
-                        else None,
-                        model,
-                        sanitizers[core_id] if sanitizers is not None
-                        else None,
-                        compiled[gidx][pidx] if compiled is not None
-                        else None,
+                    # Allocators are reset per tile but the scratch-pad
+                    # *contents* are deliberately not cleared -- see the
+                    # module docstring.  Strict mode poisons them instead.
+                    if execute != "cycles":
+                        core.reset_allocations()
+                    res = core.run(
+                        prog, gm, collect_trace=collect_trace,
+                        execute=execute, summary=nth(summaries, gidx, pidx),
+                        model=model,
+                        sanitize=sanitizers[core_id] if sanitizers else None,
+                        compiled=nth(compiled, gidx, pidx),
                     )
-                    results.append(res)
                     per_core_cycles[core_id] += res.cycles + launch
-                    if silent_jit:
-                        inj = injector.injection(tiles, core_id, 0)
+                    if injector is not None:
+                        inj = injector.injection(len(results), core_id, 0)
                         if inj is not None:
                             apply_silent_flips_to_gm(gm, prog, inj, scratch)
-                    tiles += 1
+                    results.append(res)
             return self._result(
-                per_core_cycles, tiles, results,
+                per_core_cycles, results,
                 resilience=ResilienceReport(
-                    plan_faults=len(injector.plan), attempts=tiles
-                ) if silent_jit else None,
+                    plan_faults=len(injector.plan), attempts=len(results)
+                ) if injector is not None else None,
                 sanitizers=sanitizers,
             )
 
@@ -786,18 +634,14 @@ class Chip:
             self, injector, retry or RetryPolicy(), gm, collect_trace,
             execute, model,
         )
-        results = []
-        tiles = 0
         for gidx, group in enumerate(groups):
             core_id, _ = self._dispatch(gidx)
             for pidx, prog in enumerate(group):
                 core_id, res = dispatch.run_item(
-                    tiles, core_id, prog,
-                    summaries[gidx][pidx] if summaries is not None else None,
+                    len(results), core_id, prog, nth(summaries, gidx, pidx)
                 )
                 results.append(res)
-                tiles += 1
-        dispatch.ledger.audit(tiles)
+        dispatch.ledger.audit(len(results))
         return self._result(
-            dispatch.per_core_cycles, tiles, results, dispatch.report()
+            dispatch.per_core_cycles, results, dispatch.report()
         )

@@ -555,6 +555,22 @@ def _plan_must_fail(plan: FaultPlan) -> bool:
     )
 
 
+def _add_bit_identical(
+    report: ValidationReport,
+    name: str,
+    res: PoolRunResult,
+    base: PoolRunResult,
+) -> None:
+    """Check ``name``: ``res``'s output (and mask, when ``base`` has
+    one) is bit-identical to ``base``'s."""
+    ok = res.output is not None and np.array_equal(res.output, base.output)
+    if base.mask is not None:
+        ok = ok and res.mask is not None and np.array_equal(
+            res.mask, base.mask
+        )
+    report.add(name, ok, "" if ok else _diff_detail(res.output, base.output))
+
+
 def _check_chaos(
     report: ValidationReport,
     prefix: str,
@@ -592,17 +608,7 @@ def _check_chaos(
                 f"unrecoverable: {type(exc).__name__}: {exc}",
             )
             continue
-        ok = res.output is not None and np.array_equal(
-            res.output, base.output
-        )
-        if base.mask is not None:
-            ok = ok and res.mask is not None and np.array_equal(
-                res.mask, base.mask
-            )
-        report.add(
-            f"{tag}/output-vs-fault-free", ok,
-            "" if ok else _diff_detail(res.output, base.output),
-        )
+        _add_bit_identical(report, f"{tag}/output-vs-fault-free", res, base)
         rep = res.resilience
         ok = rep is not None and rep.plan_faults == len(plan.faults)
         report.add(
@@ -691,17 +697,7 @@ def _check_sanitize(
                 "; ".join(v.message for v in rep.violations[:3])
             ),
         )
-        ok = res.output is not None and np.array_equal(
-            res.output, base.output
-        )
-        if base.mask is not None:
-            ok = ok and res.mask is not None and np.array_equal(
-                res.mask, base.mask
-            )
-        report.add(
-            f"{tag}/output-vs-unsanitized", ok,
-            "" if ok else _diff_detail(res.output, base.output),
-        )
+        _add_bit_identical(report, f"{tag}/output-vs-unsanitized", res, base)
         ok = (
             res.cycles == base.cycles
             and res.chip.total_work_cycles == base.chip.total_work_cycles
@@ -752,17 +748,7 @@ def _check_jit(
                 f"{type(exc).__name__}: {exc}",
             )
             continue
-        ok = res.output is not None and np.array_equal(
-            res.output, base.output
-        )
-        if base.mask is not None:
-            ok = ok and res.mask is not None and np.array_equal(
-                res.mask, base.mask
-            )
-        report.add(
-            f"{tag}/bit-identical", ok,
-            "" if ok else _diff_detail(res.output, base.output),
-        )
+        _add_bit_identical(report, f"{tag}/bit-identical", res, base)
         ok = (
             res.cycles == base.cycles
             and res.chip.total_work_cycles == base.chip.total_work_cycles
@@ -821,17 +807,8 @@ def _check_autotune(
             f"{type(exc).__name__}: {exc}",
         )
         return
-    fresh = routes["fresh"]
-    ok = res.output is not None and np.array_equal(
-        res.output, fresh.output
-    )
-    if fresh.mask is not None:
-        ok = ok and res.mask is not None and np.array_equal(
-            res.mask, fresh.mask
-        )
-    report.add(
-        f"{tag}/output-vs-default", ok,
-        "" if ok else _diff_detail(res.output, fresh.output),
+    _add_bit_identical(
+        report, f"{tag}/output-vs-default", res, routes["fresh"]
     )
     ok = res.cycles == result.best_cycles
     report.add(
@@ -1219,6 +1196,45 @@ class ServeChaosCase:
     label: str
 
 
+def _sample_request(
+    rng: random.Random,
+    seed: int,
+    idx: int,
+    models: Sequence[str],
+) -> tuple[dict, str]:
+    """The ``PoolRequest`` fields and label of one seeded storm request.
+
+    Geometries come from the same biased sampler as the operator fuzz;
+    kinds cover all four operators (backward masks derived from the
+    golden model), timing models are drawn from ``models``, and a
+    slice of requests runs ``execute="jit"``.
+    """
+    ih, iw, c, n, spec = sample_pool_geometry(rng, max_out=4, max_kernel=3)
+    case_seed = seed * 100003 + idx
+    kind = rng.choice(
+        ("maxpool", "maxpool", "avgpool",
+         "maxpool_backward", "avgpool_backward")
+    )
+    model = rng.choice(tuple(models))
+    execute = rng.choice(("numeric", "numeric", "numeric", "jit"))
+    kw: dict = dict(
+        kind=kind, spec=spec, tenant=f"tenant{idx % 4}",
+        execute=execute, model=model,
+    )
+    x = make_input(ih, iw, c, n=n, seed=case_seed)
+    if kind in ("maxpool", "avgpool"):
+        kw.update(x=x, impl="im2col")
+        if kind == "maxpool" and rng.random() < 0.5:
+            kw["with_mask"] = True
+    else:
+        oh, ow = spec.with_image(ih, iw).out_hw()
+        grad = make_gradient(x.shape[1], oh, ow, n=n, seed=case_seed + 1)
+        kw.update(x=grad, impl="col2im", ih=ih, iw=iw)
+        if kind == "maxpool_backward":
+            kw["mask"] = maxpool_argmax_ref(x, spec)
+    return kw, f"{kind}/{model}/{execute}/{n}x{ih}x{iw}x{c}@{case_seed}"
+
+
 def generate_serve_cases(
     seed: int,
     count: int,
@@ -1226,12 +1242,9 @@ def generate_serve_cases(
 ) -> list[ServeChaosCase]:
     """``count`` seeded random service requests with cycled fault profiles.
 
-    Geometries come from the same biased sampler as the operator fuzz;
-    kinds cover all four operators (backward masks derived from the
-    golden model), timing models are drawn from ``models`` so
-    ``--model both`` mixes serial and pipelined requests in one storm,
-    and a slice of requests runs ``execute="jit"`` so compiled kernels
-    cross the fault machinery too.
+    Requests come from :func:`_sample_request`, so ``--model both``
+    mixes serial and pipelined requests in one storm and compiled
+    kernels cross the fault machinery too.
     """
     from .serve import PoolRequest
 
@@ -1239,30 +1252,7 @@ def generate_serve_cases(
     cases: list[ServeChaosCase] = []
     for idx in range(count):
         profile = SERVE_CHAOS_PROFILES[idx % len(SERVE_CHAOS_PROFILES)]
-        ih, iw, c, n, spec = sample_pool_geometry(
-            rng, max_out=4, max_kernel=3
-        )
-        case_seed = seed * 100003 + idx
-        kind = rng.choice(
-            ("maxpool", "maxpool", "avgpool",
-             "maxpool_backward", "avgpool_backward")
-        )
-        model = rng.choice(tuple(models))
-        execute = rng.choice(("numeric", "numeric", "numeric", "jit"))
-        kw: dict = dict(execute=execute, model=model)
-        if kind in ("maxpool", "avgpool"):
-            x = make_input(ih, iw, c, n=n, seed=case_seed)
-            kw.update(x=x, impl="im2col")
-            if kind == "maxpool" and rng.random() < 0.5:
-                kw["with_mask"] = True
-        else:
-            x = make_input(ih, iw, c, n=n, seed=case_seed)
-            oh, ow = spec.with_image(ih, iw).out_hw()
-            grad = make_gradient(x.shape[1], oh, ow, n=n,
-                                 seed=case_seed + 1)
-            kw.update(x=grad, impl="col2im", ih=ih, iw=iw)
-            if kind == "maxpool_backward":
-                kw["mask"] = maxpool_argmax_ref(x, spec)
+        kw, label = _sample_request(rng, seed, idx, models)
         if profile == "crash":
             kw["chaos_crash_attempts"] = (0,)
         elif profile == "stall":
@@ -1275,15 +1265,9 @@ def generate_serve_cases(
         elif profile == "deadline":
             kw["chaos_stall_attempts"] = tuple(range(8))
             kw["deadline_ms"] = _SERVE_DEADLINE_MS
-        request = PoolRequest(
-            kind=kind, spec=spec, tenant=f"tenant{idx % 4}", **kw
-        )
-        label = (
-            f"{profile}/{kind}/{model}/{execute}"
-            f"/{n}x{ih}x{iw}x{c}@{case_seed}"
-        )
         cases.append(ServeChaosCase(
-            profile=profile, request=request, label=label,
+            profile=profile, request=PoolRequest(**kw),
+            label=f"{profile}/{label}",
         ))
     return cases
 
@@ -1522,8 +1506,8 @@ def generate_integrity_cases(
 ) -> list[tuple["object", str]]:
     """``count`` seeded *clean* requests for the integrity storms.
 
-    Same biased geometry sampler and kind/model/execute mix as the
-    serve-chaos storm, but no fault profiles: each storm below applies
+    Same request sampler as the serve-chaos storm, but no fault
+    profiles: each storm below applies
     its own corruption hook to copies of these requests, so the clean
     originals double as the in-process byte-identity oracles.
     """
@@ -1532,35 +1516,8 @@ def generate_integrity_cases(
     rng = random.Random(zlib.crc32(b"integrity") + seed)
     cases: list[tuple[object, str]] = []
     for idx in range(count):
-        ih, iw, c, n, spec = sample_pool_geometry(
-            rng, max_out=4, max_kernel=3
-        )
-        case_seed = seed * 100003 + idx
-        kind = rng.choice(
-            ("maxpool", "maxpool", "avgpool",
-             "maxpool_backward", "avgpool_backward")
-        )
-        model = rng.choice(tuple(models))
-        execute = rng.choice(("numeric", "numeric", "numeric", "jit"))
-        kw: dict = dict(execute=execute, model=model)
-        if kind in ("maxpool", "avgpool"):
-            x = make_input(ih, iw, c, n=n, seed=case_seed)
-            kw.update(x=x, impl="im2col")
-            if kind == "maxpool" and rng.random() < 0.5:
-                kw["with_mask"] = True
-        else:
-            x = make_input(ih, iw, c, n=n, seed=case_seed)
-            oh, ow = spec.with_image(ih, iw).out_hw()
-            grad = make_gradient(x.shape[1], oh, ow, n=n,
-                                 seed=case_seed + 1)
-            kw.update(x=grad, impl="col2im", ih=ih, iw=iw)
-            if kind == "maxpool_backward":
-                kw["mask"] = maxpool_argmax_ref(x, spec)
-        request = PoolRequest(
-            kind=kind, spec=spec, tenant=f"tenant{idx % 4}", **kw
-        )
-        label = f"{kind}/{model}/{execute}/{n}x{ih}x{iw}x{c}@{case_seed}"
-        cases.append((request, label))
+        kw, label = _sample_request(rng, seed, idx, models)
+        cases.append((PoolRequest(**kw), label))
     return cases
 
 

@@ -66,6 +66,22 @@ class TestRequestValidation:
                 mask=_x(),
             )
 
+    @pytest.mark.parametrize("x, match", [
+        (_x(dtype=np.float32), "expected 8 for float32"),
+        (_x((1, 2, 16, 16, 8)), "expected 16 for float16"),
+        (_x((1, 2, 2, 2, 16)), "kernel 3 larger than padded image"),
+    ], ids=["float32-c0-16", "float16-c0-8", "image-below-kernel"])
+    def test_payload_rejected_at_construction(self, x, match):
+        with pytest.raises(LayoutError, match=match):
+            PoolRequest(kind="maxpool", x=x, spec=SPEC)
+
+    def test_backward_extents_checked_against_kernel(self):
+        with pytest.raises(LayoutError, match="larger than padded image"):
+            PoolRequest(
+                kind="avgpool_backward", x=_x((1, 2, 1, 1, 16)), spec=SPEC,
+                ih=2, iw=2,
+            )
+
     def test_chaos_attempts_validated(self):
         with pytest.raises(ServeError):
             PoolRequest(
@@ -90,7 +106,8 @@ class TestGeometryKey:
                 kind="maxpool", x=_x(shape=(1, 1, 16, 16, 16)), spec=SPEC
             ),
             PoolRequest(
-                kind="maxpool", x=_x(dtype=np.float32), spec=SPEC
+                kind="maxpool", x=_x((1, 2, 16, 16, 8), np.float32),
+                spec=SPEC,
             ),
             PoolRequest(kind="maxpool", x=_x(), spec=SPEC, execute="cycles"),
             PoolRequest(kind="maxpool", x=_x(), spec=SPEC,

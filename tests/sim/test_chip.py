@@ -7,7 +7,15 @@ from repro.config import ASCEND910, ChipConfig
 from repro.errors import SimulationError
 from repro.isa import Mask, MemRef, Program, VectorDup, VectorOperand
 from repro.dtypes import FLOAT16
-from repro.sim import Chip, GlobalMemory
+from repro.sim import (
+    BitFlip,
+    Chip,
+    Crash,
+    FaultPlan,
+    GlobalMemory,
+    RetryPolicy,
+    Stall,
+)
 
 
 def tile_program(repeat=1, offset=0):
@@ -19,6 +27,8 @@ def tile_program(repeat=1, offset=0):
 
 
 LAUNCH = ASCEND910.cost.tile_launch_cycles
+#: The chip the ``pool_tiles`` fixture lowers for.
+TWO_CORES = ChipConfig(num_cores=2)
 
 
 class TestChip:
@@ -222,3 +232,58 @@ class TestPerCoreBreakdown:
         assert pipe.cycles <= serial.cycles
         for pa, pb in zip(pipe.per_tile, serial.per_tile):
             assert pa.cycles <= pb.cycles
+
+
+_FLAT_VS_GROUPED = {
+    "numeric": {},
+    "cycles": {"execute": "cycles"},
+    "jit": {"execute": "jit"},
+    "jit-silent-bitflip": {
+        "execute": "jit",
+        "faults": FaultPlan(
+            faults=(BitFlip(tile=1, offset=3, bit=2, detected=False),)
+        ),
+    },
+    "faults-retry": {
+        "faults": FaultPlan(faults=(
+            Crash(tile=0), Stall(tile=1, cycles=40),
+            BitFlip(tile=2, detected=True),
+        )),
+        "retry": RetryPolicy(),
+    },
+    "sanitize": {"sanitize": True},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_FLAT_VS_GROUPED))
+def test_run_tiles_equals_groups_of_one(pool_tiles, mode):
+    """run_tiles is run_tile_groups with every tile a group of one."""
+    kw = dict(_FLAT_VS_GROUPED[mode])
+    execute = kw.pop("execute", "numeric")
+    progs, summaries, kernels, make_gm = pool_tiles(execute)
+    assert len(progs) > TWO_CORES.num_cores
+    flat_gm, grouped_gm = make_gm(), make_gm()
+    flat = Chip(TWO_CORES).run_tiles(
+        progs, flat_gm, execute=execute, summaries=summaries,
+        compiled=kernels, **kw,
+    )
+    grouped = Chip(TWO_CORES).run_tile_groups(
+        [[p] for p in progs], grouped_gm, execute=execute,
+        summaries=[[s] for s in summaries],
+        compiled=None if kernels is None else [[k] for k in kernels],
+        **kw,
+    )
+    assert flat.cycles == grouped.cycles
+    assert flat.per_core_cycles == grouped.per_core_cycles
+    assert [r.cycles for r in flat.per_tile] == [
+        r.cycles for r in grouped.per_tile
+    ]
+    assert flat.resilience == grouped.resilience
+    assert flat.sanitizer == grouped.sanitizer
+    np.testing.assert_array_equal(
+        flat_gm.tensors["out"], grouped_gm.tensors["out"]
+    )
+    if mode == "faults-retry":
+        assert flat.resilience.retries > 0
+    if mode == "sanitize":
+        assert flat.sanitizer.clean and flat.sanitizer.programs == len(progs)

@@ -239,29 +239,30 @@ class TestCacheModelSeparation:
         p.emit(VADD(d, d, s, Mask.full(), 2))
         return p
 
-    def test_program_key_folds_model(self):
-        from repro.sim import program_key
+    @staticmethod
+    def _key(**model):
+        from repro.plan import ExecutionPlan
+        from repro.sim import plan_key
 
-        base = dict(
-            kind="fwd", impl="i", spec=(1,), geom=(2,),
-            dtype=FLOAT16, image=(8, 8, 4, 4), config=ASCEND910,
+        plan = ExecutionPlan(
+            kind="fwd", impl="im2col", op="max", with_mask=False,
+            dtype=FLOAT16.name, spec=PoolSpec.square(3, 2),
+            n=1, c1=1, ih=8, iw=8, chunk=3, **model,
         )
-        assert program_key(**base) == program_key(**base, model="serial")
-        assert program_key(**base) != program_key(
-            **base, model="pipelined"
-        )
+        return plan_key(plan, (2,), ASCEND910)
+
+    def test_plan_key_folds_model(self):
+        assert self._key() == self._key(model="serial")
+        assert self._key() != self._key(model="pipelined")
 
     def test_summaries_memoized_per_model(self):
-        from repro.sim import ProgramCache, program_key
+        from repro.sim import ProgramCache
 
         cache = ProgramCache()
         prog = self._program()
         results = {}
         for model in ("serial", "pipelined"):
-            key = program_key(
-                "fwd", "i", (1,), (2,), FLOAT16, (8, 8, 4, 4),
-                ASCEND910, model=model,
-            )
+            key = self._key(model=model)
             got = cache.get_or_build(key, lambda: prog)
             results[model] = cache.summary(
                 key, got, ASCEND910, model=model
