@@ -283,6 +283,30 @@ def _validate_input(x: np.ndarray, dtype: DType) -> None:
         )
 
 
+def _check_gradient_grid(
+    grad: np.ndarray, spec: PoolSpec, ih: int, iw: int
+) -> None:
+    """The gradient's ``(Oh, Ow)`` must be the output grid of the
+    ``(ih, iw)`` image under ``spec``."""
+    expect = spec.with_image(ih, iw).out_hw()
+    if grad.shape[2:4] != expect:
+        raise LayoutError(
+            f"gradient grid {grad.shape[2:4]} does not match geometry "
+            f"{expect}"
+        )
+
+
+def _check_mask_shape(
+    mask: np.ndarray, grad: np.ndarray, spec: PoolSpec
+) -> None:
+    """The Argmax mask is ``(N, C1, Kh, Kw, Oh, Ow, C0)`` for ``grad``'s
+    ``(N, C1, Oh, Ow, C0)``."""
+    n, c1, oh, ow, c0 = grad.shape
+    expect = (n, c1, spec.kh, spec.kw, oh, ow, c0)
+    if mask.shape != expect:
+        raise LayoutError(f"mask shape {mask.shape} does not match {expect}")
+
+
 def run_forward(
     x: np.ndarray,
     spec: PoolSpec,
@@ -306,7 +330,7 @@ def run_forward(
     The driver is a thin composition of the plan -> lower -> dispatch
     pipeline (:mod:`repro.plan.planner`): the workload's choices are
     reified into an :class:`~repro.plan.planner.ExecutionPlan`, lowered
-    to tile programs, and dispatched on a fresh chip.  ``plan``
+    to tile programs, and dispatched on the simulated chip.  ``plan``
     selects the planning policy: ``"default"`` (the default) is the
     historical heuristic and is byte-identical to the pre-pipeline
     driver; ``"autotuned"`` consults the persisted autotune table
@@ -427,21 +451,12 @@ def run_backward(
     check_execute(execute, LayoutError)
     dtype = dtype_of(grad)
     _validate_input(grad, dtype)
-    n, c1_total, oh, ow, c0 = grad.shape
-    full = spec.with_image(ih, iw)
-    if full.out_hw() != (oh, ow):
-        raise LayoutError(
-            f"gradient grid {(oh, ow)} does not match geometry "
-            f"{full.out_hw()}"
-        )
+    _check_gradient_grid(grad, spec, ih, iw)
+    n, c1_total = grad.shape[:2]
     if impl.op == "max":
         if mask is None:
             raise LayoutError("MaxPool backward requires the Argmax mask")
-        expect = (n, c1_total, spec.kh, spec.kw, oh, ow, c0)
-        if mask.shape != expect:
-            raise LayoutError(
-                f"mask shape {mask.shape} does not match {expect}"
-            )
+        _check_mask_shape(mask, grad, spec)
     elif mask is not None:
         raise LayoutError("AvgPool backward takes no mask")
 

@@ -639,11 +639,11 @@ def dispatch_programs(
     execute: str = "numeric",
     model: "str | ExecutionModel | None" = None,
 ) -> ChipRunResult:
-    """Run a flat program list on a fresh chip -- the low-level shared
-    dispatch used by the convolution drivers (:mod:`repro.ops.conv2d`),
-    which build their programs directly rather than through plans."""
-    chip = Chip(config, dtype)
-    return chip.run_tiles(
+    """Run a flat program list on a :meth:`~repro.sim.chip.Chip.resident`
+    chip -- the low-level shared dispatch used by the convolution
+    drivers (:mod:`repro.ops.conv2d`), which build their programs
+    directly rather than through plans."""
+    return Chip.resident(config, dtype).run_tiles(
         programs, gm, collect_trace=collect_trace, execute=execute,
         model=resolve_model(model),
     )
@@ -715,7 +715,7 @@ def dispatch(
             return nested
         return [[item] for group in nested for item in group]
 
-    result = Chip(config, dtype).run_tile_groups(
+    result = Chip.resident(config, dtype).run_tile_groups(
         deal(lowering.groups),
         gm,
         collect_trace=collect_trace,

@@ -27,7 +27,12 @@ import numpy as np
 
 from ..dtypes import dtype_of
 from ..errors import LayoutError, ServeError
-from ..ops.base import _validate_input
+from ..ops.base import (
+    _check_gradient_grid,
+    _check_mask_shape,
+    _validate_input,
+)
+from ..ops.registry import backward_impl, forward_impl
 from ..ops.spec import PoolSpec
 from ..sim.modes import check_execute
 from ..sim.scheduler import resolve_model
@@ -52,7 +57,10 @@ class PoolRequest:
     the fractal ``(N, C1, H, W, C0)`` layout -- exactly what the
     matching :mod:`repro.ops.api` entry point takes.  Validation
     happens at construction, so a malformed request is rejected at
-    submission time rather than inside a worker process.
+    submission time rather than inside a worker process.  ``impl`` must
+    name a registered implementation of the request's direction (see
+    :mod:`repro.ops.registry`): the default ``"im2col"`` is forward
+    only, so backward requests name ``"col2im"`` or ``"standard"``.
 
     ``deadline_ms`` is the caller's end-to-end latency budget: the
     service enforces it at admission (an already-expired deadline is
@@ -147,6 +155,7 @@ class PoolRequest:
                 f"{getattr(self.x, 'shape', type(self.x).__name__)}"
             )
         _validate_input(self.x, dtype_of(self.x))
+        op = "max" if self.kind.startswith("maxpool") else "avg"
         if self.kind in _FORWARD_KINDS:
             if self.ih is not None or self.iw is not None:
                 raise ServeError(
@@ -158,6 +167,7 @@ class PoolRequest:
             if self.with_mask and self.kind != "maxpool":
                 raise ServeError("the Argmax mask only exists for MaxPool")
             self.spec.with_image(*self.x.shape[2:4])
+            forward_impl(self.impl, op, self.with_mask)
         else:
             if self.ih is None or self.iw is None:
                 raise ServeError(
@@ -175,7 +185,10 @@ class PoolRequest:
                 )
             if self.kind == "avgpool_backward" and self.mask is not None:
                 raise ServeError("avgpool_backward takes no mask")
-            self.spec.with_image(self.ih, self.iw)
+            _check_gradient_grid(self.x, self.spec, self.ih, self.iw)
+            if self.mask is not None:
+                _check_mask_shape(self.mask, self.x, self.spec)
+            backward_impl(self.impl, op)
         if self.deadline_ms is not None and not (
             isinstance(self.deadline_ms, (int, float))
             and self.deadline_ms == self.deadline_ms  # not NaN

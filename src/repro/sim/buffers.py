@@ -26,15 +26,29 @@ class ScratchBuffer:
 
     The backing store is typed with the kernel's element dtype; kernels
     in this reproduction are single-dtype (fp16), matching the paper.
+    It is allocated, zeroed, on the first access to :attr:`data`, so a
+    buffer nothing reads or writes -- every buffer of a cycles-only run
+    -- costs no memory.  The capacity comes from the spec and never
+    allocates.
     """
 
     spec: BufferSpec
     dtype: DType
-    data: np.ndarray = field(init=False)
+    _data: np.ndarray | None = field(init=False, default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        elems = self.spec.capacity_bytes // self.dtype.itemsize
-        self.data = np.zeros(elems, dtype=self.dtype.np_dtype)
+    @property
+    def data(self) -> np.ndarray:
+        """The backing store, allocated (zeroed) on first access."""
+        if self._data is None:
+            self._data = np.zeros(
+                self.capacity_elems, dtype=self.dtype.np_dtype
+            )
+        return self._data
+
+    @property
+    def materialized(self) -> bool:
+        """Whether the backing store has been allocated yet."""
+        return self._data is not None
 
     @property
     def name(self) -> str:
@@ -42,7 +56,7 @@ class ScratchBuffer:
 
     @property
     def capacity_elems(self) -> int:
-        return self.data.size
+        return self.spec.capacity_bytes // self.dtype.itemsize
 
     def clear(self) -> None:
         self.data.fill(0)

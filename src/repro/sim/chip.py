@@ -28,16 +28,21 @@ each core's allocators before a tile but deliberately never calls
 :meth:`~repro.sim.buffers.ScratchBuffer.clear` -- real hardware does
 not zero a scratch-pad between kernels, and a correct kernel
 initializes everything it reads, so clearing would only add cost and
-hide bugs.  The consequence is that a *buggy* kernel can silently read
-the previous tile's data (and, because :class:`ScratchBuffer` happens
-to zero-init at construction, a freshly built chip can mask even that).
-Strict mode (``sanitize=True``) closes the hole: buffers are
-poison-filled at each tile start and the shadow state flags any read of
-freed or never-written elements (see :mod:`repro.sim.sanitizer`).
+hide bugs.  The same holds between operator calls: the operator
+drivers run on :meth:`Chip.resident`, whose cores keep this thread's
+scratch-pads from one call to the next, as the physical pads persist
+from one kernel to the next.  A *buggy* kernel can therefore silently
+read data left by the previous tile or the previous call.  Strict mode
+(``sanitize=True``) is what catches that: buffers are poison-filled at
+each tile start and the shadow state flags any read of freed or
+never-written elements (see :mod:`repro.sim.sanitizer`).  Only a
+directly built :class:`Chip` or :class:`~repro.sim.aicore.AICore`
+starts from fresh, zeroed pads.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -417,6 +422,13 @@ class _ResilientDispatch:
         )
 
 
+#: This thread's resident scratch-pads (see :meth:`Chip.resident`):
+#: ``(config, dtype)`` -> one ``buffers`` dict per core id.
+_RESIDENT = threading.local()
+#: Chip geometries a thread keeps pads for; the oldest is dropped first.
+_RESIDENT_LIMIT = 4
+
+
 @dataclass
 class Chip:
     """``config.num_cores`` AI Cores sharing one global memory."""
@@ -432,6 +444,35 @@ class Chip:
             AICore(self.config, self.dtype, core_id=i)
             for i in range(self.config.num_cores)
         ]
+
+    @classmethod
+    def resident(cls, config: ChipConfig, dtype: DType = FLOAT16) -> "Chip":
+        """A fresh chip whose cores use this thread's persistent
+        scratch-pads.
+
+        The chip object is built per call, but core ``i`` adopts the
+        ``buffers`` dict every earlier resident chip of this thread with
+        the same ``(config, dtype)`` used, so the pads are allocated
+        (lazily, on first touch) once per thread instead of once per
+        call.  Contents carry over from the previous call, as on the
+        hardware; see the module docstring.  Threads never share pads,
+        and a thread keeps them for its ``_RESIDENT_LIMIT`` most
+        recently used ``(config, dtype)`` pairs only.
+        """
+        chip = cls(config, dtype)
+        pads = getattr(_RESIDENT, "pads", None)
+        if pads is None:
+            pads = _RESIDENT.pads = {}
+        key = (config, dtype)
+        kept = pads.pop(key, None)
+        if kept is None:
+            if len(pads) >= _RESIDENT_LIMIT:
+                del pads[next(iter(pads))]  # the least recently used
+            kept = [core.buffers for core in chip.cores]
+        for core, buffers in zip(chip.cores, kept):
+            core.buffers = buffers
+        pads[key] = kept
+        return chip
 
     def _dispatch(self, index: int) -> tuple[int, AICore]:
         """Round-robin deal: ``(core_id, core)`` for work item ``index``.

@@ -24,8 +24,9 @@ On :meth:`Sanitizer.begin_program` the buffer contents are poison-filled
 with :data:`POISON_VALUE` (a finite, fp16-exact sentinel far outside the
 test data range -- deliberately *not* NaN so arithmetic stays
 deterministic), so any read the shadow state flags also visibly corrupts
-the numerics instead of hiding behind :class:`ScratchBuffer`'s zero
-init.
+the numerics instead of hiding behind whatever the pads held before
+(zeros on a fresh chip, an earlier call's data on a
+:meth:`~repro.sim.chip.Chip.resident` one).
 
 Every instruction is then checked on four axes:
 

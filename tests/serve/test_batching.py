@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import LayoutError, ServeError
+from repro.errors import LayoutError, ReproError, ServeError
 from repro.ops import PoolSpec
 from repro.serve import Coalescer, PoolRequest, geometry_key
 
@@ -81,6 +81,61 @@ class TestRequestValidation:
                 kind="avgpool_backward", x=_x((1, 2, 1, 1, 16)), spec=SPEC,
                 ih=2, iw=2,
             )
+
+    @pytest.mark.parametrize("kind, impl, match", [
+        ("maxpool", "warp", "unknown forward implementation 'warp'"),
+        ("avgpool", "col2im", "unknown forward implementation 'col2im'"),
+        ("avgpool_backward", "expansion",
+         "unknown backward implementation 'expansion'"),
+    ])
+    def test_unknown_impl_rejected_at_construction(self, kind, impl, match):
+        if kind.endswith("_backward"):
+            kw = dict(x=_x((1, 2, 7, 7, 16)), ih=16, iw=16)
+        else:
+            kw = dict(x=_x())
+        with pytest.raises(ReproError, match=match):
+            PoolRequest(kind=kind, spec=SPEC, impl=impl, **kw)
+
+    def test_backward_default_impl_rejected(self):
+        # The field default names a forward-only implementation.
+        with pytest.raises(
+            ReproError, match="unknown backward implementation 'im2col'"
+        ):
+            PoolRequest(
+                kind="avgpool_backward", x=_x((1, 2, 7, 7, 16)), spec=SPEC,
+                ih=16, iw=16,
+            )
+
+    def test_maskless_variant_rejects_mask(self):
+        with pytest.raises(LayoutError, match="does not save a mask"):
+            PoolRequest(
+                kind="maxpool", x=_x(), spec=SPEC, impl="xysplit",
+                with_mask=True,
+            )
+
+    def test_backward_gradient_grid_checked(self):
+        with pytest.raises(
+            LayoutError,
+            match=r"gradient grid \(5, 5\) does not match geometry \(7, 7\)",
+        ):
+            PoolRequest(
+                kind="avgpool_backward", x=_x((1, 2, 5, 5, 16)), spec=SPEC,
+                ih=16, iw=16, impl="col2im",
+            )
+
+    def test_backward_mask_shape_checked(self):
+        with pytest.raises(LayoutError, match="mask shape"):
+            PoolRequest(
+                kind="maxpool_backward", x=_x((1, 2, 7, 7, 16)), spec=SPEC,
+                ih=16, iw=16, impl="col2im", mask=_x((1, 2, 3, 3, 6, 7, 16)),
+            )
+
+    def test_valid_backward(self):
+        r = PoolRequest(
+            kind="avgpool_backward", x=_x((1, 2, 7, 7, 16)), spec=SPEC,
+            ih=16, iw=16, impl="col2im",
+        )
+        assert r.impl == "col2im"
 
     def test_chaos_attempts_validated(self):
         with pytest.raises(ServeError):

@@ -21,10 +21,13 @@ from repro.ops.reference import maxpool_argmax_ref
 from repro.workloads import evaluated_layers, make_gradient, make_input
 
 
+# These tests read only cycle counts, which are data-independent, so
+# they skip the data pass (``execute="cycles"``); the differential
+# fuzzer checks cycles are identical across execution modes.
 def fwd_cycles(layer, impl, with_mask=False):
     x = make_input(layer.h, layer.w, layer.c, seed=0)
     return maxpool(x, layer.spec, impl=impl, with_mask=with_mask,
-                   collect_trace=False).cycles
+                   collect_trace=False, execute="cycles").cycles
 
 
 def bwd_cycles(layer, impl):
@@ -33,7 +36,8 @@ def bwd_cycles(layer, impl):
     oh, ow = layer.out_hw()
     grad = make_gradient(x.shape[1], oh, ow, seed=1)
     return maxpool_backward(mask, grad, layer.spec, layer.h, layer.w,
-                            impl=impl, collect_trace=False).cycles
+                            impl=impl, collect_trace=False,
+                            execute="cycles").cycles
 
 
 class TestFigure7Shape:
@@ -96,7 +100,7 @@ class TestFigure8Shape:
         spec = PoolSpec.square(3, stride)
         return maxpool(x, spec, impl=impl,
                        config=ASCEND910_SINGLE_CORE,
-                       collect_trace=False).cycles
+                       collect_trace=False, execute="cycles").cycles
 
     def test_stride2_ordering(self):
         # Figure 8b at a mid-range size: im2col < expansion < xy < std.
